@@ -242,10 +242,6 @@ class FaultPlan:
             and self.gpu_memory_factor == 1.0
         )
 
-    def affects_engine(self) -> bool:
-        """True when the engine's scheduling loop must consult the plan."""
-        return bool(self.bandwidth or self.tasks)
-
     def bandwidth_factor(self, resource: str, now: float) -> float:
         """Combined capacity factor for ``resource`` at simulated ``now``."""
         factor = 1.0
@@ -262,12 +258,6 @@ class FaultPlan:
             if math.isfinite(fault.end_s):
                 times.add(fault.end_s)
         return tuple(sorted(t for t in times if t > 0))
-
-    def next_boundary(self, now: float) -> Optional[float]:
-        for time in self.boundaries():
-            if time > now + 1e-12:
-                return time
-        return None
 
     def task_fault(
         self, name: str, phase: str, attempt: int

@@ -14,18 +14,16 @@ proportion to their demand, and a compute-bound kernel coexists with a
 transfer without slowing it — which is exactly the concurrent-kernel
 overlap the Triton join exploits (section 5.2, Figure 11).
 
-When a fault plan is ambient (:func:`repro.faults.active`), the engine
-additionally consults it at every scheduling point: bandwidth faults
-scale resource capacities over simulated-time windows (the allocation
-step advances at most to the next window boundary, so degraded and
-nominal intervals never blend), and task faults fail finishing tasks —
-transiently (retried after exponential backoff in simulated time, under
-the plan's :class:`~repro.faults.RetryPolicy`) or permanently (raising
-:class:`~repro.errors.TaskFailedError`). Every injected event lands in
-``SimResult.fault_events`` and on the telemetry counters. With no plan
-(or an empty one) the scheduling loop is bit-for-bit the original: a
-clean run's :class:`SimResult` is byte-identical with faults imported
-or not.
+Faults are hooks in the same loop. The ambient fault plan
+(:func:`repro.faults.active`) scales resource capacities over
+simulated-time windows (a step advances at most to the next window
+boundary, so degraded and nominal intervals never blend) and fails
+finishing tasks — transiently (retried after exponential backoff in
+simulated time, under the plan's :class:`~repro.faults.RetryPolicy`) or
+permanently (raising :class:`~repro.errors.TaskFailedError`). Every
+injected event lands in ``SimResult.fault_events`` and on the telemetry
+counters. With no plan, or an empty one, each hook does nothing and the
+run is the plain fluid-flow schedule.
 """
 
 from __future__ import annotations
@@ -33,10 +31,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Tuple
 
 from repro import explain, faults, telemetry
-from repro.errors import SimulationError, TaskFailedError
+from repro.errors import ConfigurationError, SimulationError, TaskFailedError
 from repro.telemetry import tracing
 from repro.faults import FaultEvent
 from repro.hw.counters import PerfCounters
@@ -52,6 +51,8 @@ from repro.sim.trace import (
 _EPSILON = 1e-12
 _CONVERGENCE = 1e-9
 _MAX_SCALING_ROUNDS = 10_000
+_NO_FAULTS = faults.FaultPlan()
+_task_id = attrgetter("task_id")
 
 
 def _is_gpu_task(task: Task) -> bool:
@@ -112,9 +113,9 @@ def _task_record(
     task: Task,
     start: float,
     end: float,
-    retries: int = 0,
-    backoff_seconds: float = 0.0,
-    active_seconds: Optional[float] = None,
+    retries: int,
+    backoff_seconds: float,
+    active_seconds: float,
 ) -> TaskRecord:
     """Snapshot a completed task occurrence for post-hoc attribution."""
     return TaskRecord(
@@ -128,9 +129,7 @@ def _task_record(
         min_seconds=task.min_seconds,
         retries=retries,
         backoff_seconds=backoff_seconds,
-        active_seconds=(
-            end - start if active_seconds is None else active_seconds
-        ),
+        active_seconds=active_seconds,
     )
 
 
@@ -178,71 +177,61 @@ class SimEngine:
     # -- rate allocation ------------------------------------------------------
 
     def _allocate_rates(
-        self,
-        running: List[Task],
-        capacities: Optional[Dict[str, float]] = None,
+        self, running: List[Task], capacities: Dict[str, float]
     ) -> Dict[int, float]:
         """Progress rates (fraction/s) for the running tasks.
 
         Starts every task at its own cap and iteratively scales down the
-        users of the most over-committed resource until feasible.
-        ``capacities`` overrides the pool's nominal capacities (used for
-        fault windows where bandwidth is degraded); when ``None`` the
-        pool is read directly.
+        users of the most over-committed resource until feasible. Only
+        the resources running tasks draw on are scanned, in pool order,
+        so ties break as in a scan of the whole pool.
         """
         rates: Dict[int, float] = {}
+        #: (task id, demand) per resource, for tasks with a finite rate.
+        users: Dict[str, List[Tuple[int, float]]] = {}
         for task in running:
             cap = math.inf
             if task.min_seconds > 0:
                 cap = 1.0 / task.min_seconds
-            for resource, amount in task.demands.items():
-                if amount <= 0:
-                    continue
-                if capacities is None:
-                    capacity = self.pool.capacity(resource)
-                else:
-                    capacity = capacities[resource]
+            drawn = [(r, a) for r, a in task.demands.items() if a > 0]
+            for resource, amount in drawn:
+                capacity = capacities[resource]
                 resource_cap = task.rate_caps.get(resource, capacity)
                 cap = min(cap, resource_cap / amount)
-            if math.isinf(cap):
-                # No demands and no minimum duration: completes instantly.
-                cap = math.inf
             rates[task.task_id] = cap
+            if not math.isinf(cap):
+                for resource, amount in drawn:
+                    users.setdefault(resource, []).append(
+                        (task.task_id, amount)
+                    )
 
+        contended = [name for name in capacities if name in users]
         for _ in range(_MAX_SCALING_ROUNDS):
             worst_name = None
             worst_ratio = 1.0 + _CONVERGENCE
-            for name in self.pool.names():
-                usage = sum(
-                    task.demands.get(name, 0.0) * rates[task.task_id]
-                    for task in running
-                    if not math.isinf(rates[task.task_id])
-                )
-                if capacities is None:
-                    capacity = self.pool.capacity(name)
-                else:
-                    capacity = capacities[name]
-                ratio = usage / capacity
+            for name in contended:
+                usage = sum(amount * rates[tid] for tid, amount in users[name])
+                ratio = usage / capacities[name]
                 if ratio > worst_ratio:
                     worst_ratio = ratio
                     worst_name = name
             if worst_name is None:
                 return rates
             scale = 1.0 / worst_ratio
-            for task in running:
-                if task.demands.get(worst_name, 0.0) > 0:
-                    rates[task.task_id] *= scale
+            for tid, _ in users[worst_name]:
+                rates[tid] *= scale
         raise SimulationError("rate allocation did not converge")
 
-    def _effective_capacities(
-        self, plan: "faults.FaultPlan", now: float
-    ) -> Dict[str, float]:
-        """Pool capacities after the plan's bandwidth faults at ``now``."""
+    def _check_demands(self, graph: TaskGraph) -> Dict[str, float]:
+        """Nominal capacities, after checking every demand names one."""
         capacities = self.pool.capacities()
-        for name, capacity in capacities.items():
-            factor = plan.bandwidth_factor(name, now)
-            if factor != 1.0:
-                capacities[name] = capacity * factor
+        for task in graph.tasks:
+            for resource in task.demands:
+                if resource not in capacities:
+                    raise ConfigurationError(
+                        f"task {task.name!r} demands unknown resource "
+                        f"{resource!r}"
+                    )
         return capacities
 
     # -- main loop --------------------------------------------------------------
@@ -250,172 +239,42 @@ class SimEngine:
     def run(self, graph: TaskGraph) -> SimResult:
         """Simulate the graph to completion and return the result.
 
-        Consults the ambient fault plan (:func:`repro.faults.active`) if
-        one is set; otherwise (or when the plan injects nothing into the
-        engine) runs the exact clean scheduling loop.
+        The ambient fault plan (:func:`repro.faults.active`) is consulted
+        at four hooks: bandwidth windows scale the capacities each step
+        allocates against, ``dt`` is clipped to the next window boundary
+        or retry resume, each finishing task may fail (retried after
+        backoff or raised as :class:`TaskFailedError`), and the windows
+        the run overlapped become drop/restore events. Without a plan,
+        or with one that injects nothing into the engine, every hook
+        does nothing.
         """
-        plan = faults.active()
-        if plan is not None and not plan.affects_engine():
-            plan = None
-        if plan is None:
-            return self._run_clean(graph)
-        return self._run_faulted(graph, plan)
-
-    def _run_clean(self, graph: TaskGraph) -> SimResult:
-        graph.validate()
+        plan = faults.active() or _NO_FAULTS
+        policy = plan.retry or faults.DEFAULT_RETRY_POLICY
+        waiting, successors = graph.validate()
+        nominal = self._check_demands(graph)
         graph.reset()
 
-        pending = set(graph.tasks)
-        done_ids = set()
-        running: List[Task] = []
-        now = 0.0
-        trace: List[TraceEntry] = []
-        busy: Dict[str, float] = {name: 0.0 for name in self.pool.names()}
-        occupancy: List[OccupancyInterval] = []
-        records: List[TaskRecord] = []
-
-        def ready_tasks() -> List[Task]:
-            ready = [
-                t
-                for t in pending
-                if all(dep.task_id in done_ids for dep in t.after)
-            ]
-            # Deterministic order: creation order.
-            return sorted(ready, key=lambda t: t.task_id)
-
-        while pending or running:
-            for task in ready_tasks():
-                pending.remove(task)
-                task.start_time = now
-                running.append(task)
-
-            if not running:
-                raise SimulationError(
-                    "deadlock: pending tasks but none are ready"
-                )
-
-            rates = self._allocate_rates(running)
-
-            # Instantly complete zero-work tasks (pure barriers).
-            instant = [t for t in running if math.isinf(rates[t.task_id])]
-            if instant:
-                for task in instant:
-                    task.end_time = now
-                    task.remaining_fraction = 0.0
-                    running.remove(task)
-                    done_ids.add(task.task_id)
-                    trace.append(TraceEntry.from_task(task))
-                    records.append(_task_record(task, now, now))
-                continue
-
-            # Time until the earliest completion at current rates.
-            dt = math.inf
-            for task in running:
-                rate = rates[task.task_id]
-                if rate <= _EPSILON:
-                    raise SimulationError(
-                        f"task {task.name!r} cannot make progress"
-                    )
-                dt = min(dt, task.remaining_fraction / rate)
-            if not math.isfinite(dt):
-                raise SimulationError("no finite completion time")
-
-            # Advance and account resource usage.
-            if dt > 0:
-                occupancy.append(
-                    OccupancyInterval(now, now + dt, _step_usage(running, rates))
-                )
-            now += dt
-            finished: List[Task] = []
-            for task in running:
-                rate = rates[task.task_id]
-                progressed = rate * dt
-                for resource, amount in task.demands.items():
-                    busy[resource] += amount * progressed
-                task.remaining_fraction -= progressed
-                if task.remaining_fraction <= _EPSILON:
-                    task.remaining_fraction = 0.0
-                    task.end_time = now
-                    finished.append(task)
-            if not finished:
-                raise SimulationError("time advanced without completions")
-            for task in finished:
-                running.remove(task)
-                done_ids.add(task.task_id)
-                trace.append(TraceEntry.from_task(task))
-                records.append(
-                    _task_record(task, task.start_time, task.end_time)
-                )
-
-        return self._finalize(graph, now, trace, busy, (), occupancy, records)
-
-    def _run_faulted(
-        self, graph: TaskGraph, plan: "faults.FaultPlan"
-    ) -> SimResult:
-        """The scheduling loop with fault injection and retry/backoff.
-
-        Differences from the clean loop: capacities are re-evaluated per
-        scheduling round against the plan's bandwidth windows, ``dt`` is
-        clipped to the next window boundary (or retry-resume time) so
-        time can advance without a completion, and finishing tasks pass
-        through :meth:`_resolve_completion`, which may requeue them with
-        backoff or raise :class:`TaskFailedError`.
-        """
-        graph.validate()
-        graph.reset()
-
-        policy = plan.retry if plan.retry is not None else faults.DEFAULT_RETRY_POLICY
-        pending = set(graph.tasks)
-        done_ids = set()
+        boundaries = list(plan.boundaries())  # consumed as time passes
+        ready = [t for t in graph.tasks if not waiting[t.task_id]]
         running: List[Task] = []
         #: min-heap of (resume_time, task_id, task) backing-off retries.
         blocked: List[Tuple[float, int, Task]] = []
         attempts: Dict[int, int] = {}  # failed attempts so far, per task
         class_retries: Dict[str, int] = {}  # retries spent per task class
+        first_start: Dict[int, float] = {}  # first start, retried tasks only
+        failed_active: Dict[int, float] = {}  # seconds lost to doomed attempts
+        backoff_total: Dict[int, float] = {}  # seconds waited out in backoff
         events: List[FaultEvent] = []
         now = 0.0
         trace: List[TraceEntry] = []
-        busy: Dict[str, float] = {name: 0.0 for name in self.pool.names()}
+        busy: Dict[str, float] = dict.fromkeys(nominal, 0.0)
         occupancy: List[OccupancyInterval] = []
         records: List[TaskRecord] = []
-        first_start: Dict[int, float] = {}  # dependencies satisfied at
-        failed_active: Dict[int, float] = {}  # seconds lost to doomed attempts
-        backoff_total: Dict[int, float] = {}  # seconds waited out in backoff
 
-        def finish_record(task: Task) -> TaskRecord:
-            tid = task.task_id
-            return _task_record(
-                task,
-                first_start.get(tid, task.start_time),
-                now,
-                retries=attempts.get(tid, 0),
-                backoff_seconds=backoff_total.get(tid, 0.0),
-                active_seconds=(
-                    failed_active.get(tid, 0.0) + (now - task.start_time)
-                ),
-            )
-
-        def ready_tasks() -> List[Task]:
-            ready = [
-                t
-                for t in pending
-                if all(dep.task_id in done_ids for dep in t.after)
-            ]
-            return sorted(ready, key=lambda t: t.task_id)
-
-        def resolve_completion(task: Task) -> bool:
-            """Handle a task reaching 100% progress at ``now``.
-
-            Returns True when the task is genuinely done; False when an
-            injected transient fault requeued it for retry. Raises
-            :class:`TaskFailedError` on permanent faults and exhausted
-            retry budgets.
-            """
-            attempt = attempts.get(task.task_id, 0)
-            fault = plan.task_fault(task.name, task.task_class, attempt)
-            if fault is None:
-                return True
-
+        def retry_or_raise(
+            task: Task, attempt: int, fault: faults.TaskFault
+        ) -> None:
+            """Requeue ``task`` after backoff, or raise TaskFailedError."""
             label = task.task_class
             # The doomed attempt still occupied the hardware: record it
             # on the timeline under a failed-attempt name.
@@ -460,15 +319,15 @@ class SimEngine:
                 )
 
             # Transient: requeue the whole task after backoff.
+            tid = task.task_id
             class_retries[label] = used + 1
-            attempts[task.task_id] = attempt + 1
+            attempts[tid] = attempt + 1
             backoff = policy.backoff(attempt)
-            failed_active[task.task_id] = failed_active.get(
-                task.task_id, 0.0
-            ) + (now - task.start_time)
-            backoff_total[task.task_id] = (
-                backoff_total.get(task.task_id, 0.0) + backoff
+            first_start.setdefault(tid, task.start_time)
+            failed_active[tid] = failed_active.get(tid, 0.0) + (
+                now - task.start_time
             )
+            backoff_total[tid] = backoff_total.get(tid, 0.0) + backoff
             events.append(
                 FaultEvent(
                     now,
@@ -487,46 +346,72 @@ class SimEngine:
             task.remaining_fraction = 1.0
             task.start_time = None
             task.end_time = None
-            heapq.heappush(blocked, (now + backoff, task.task_id, task))
-            return False
+            heapq.heappush(blocked, (now + backoff, tid, task))
 
-        while pending or running or blocked:
-            # Release retries whose backoff has elapsed.
+        def complete(task: Task) -> None:
+            """Retire a task that reached 100% progress at ``now``."""
+            running.remove(task)
+            tid = task.task_id
+            attempt = attempts.get(tid, 0)
+            fault = plan.task_fault(task.name, task.task_class, attempt)
+            if fault is not None:
+                retry_or_raise(task, attempt, fault)
+                return
+            trace.append(TraceEntry.from_task(task))
+            records.append(
+                _task_record(
+                    task,
+                    first_start.get(tid, task.start_time),
+                    now,
+                    retries=attempt,
+                    backoff_seconds=backoff_total.get(tid, 0.0),
+                    active_seconds=(
+                        failed_active.get(tid, 0.0) + (now - task.start_time)
+                    ),
+                )
+            )
+            for succ in successors[tid]:
+                waiting[succ.task_id] -= 1
+                if not waiting[succ.task_id]:
+                    ready.append(succ)
+
+        while ready or running or blocked:
+            # Retries whose backoff has elapsed restart first, then the
+            # newly ready tasks in creation (task_id) order.
             while blocked and blocked[0][0] <= now + _EPSILON:
                 _, _, task = heapq.heappop(blocked)
                 task.start_time = now
                 running.append(task)
-            for task in ready_tasks():
-                pending.remove(task)
+            ready.sort(key=_task_id)
+            for task in ready:
                 task.start_time = now
-                first_start[task.task_id] = now
                 running.append(task)
+            ready.clear()
 
             if not running:
-                if blocked:
-                    # Everything live is backing off: jump to the
-                    # earliest resume time.
-                    now = max(now, blocked[0][0])
-                    continue
-                raise SimulationError(
-                    "deadlock: pending tasks but none are ready"
-                )
+                # Everything live is backing off: jump to the earliest
+                # resume time.
+                now = max(now, blocked[0][0])
+                continue
 
-            capacities = self._effective_capacities(plan, now)
+            capacities = nominal
+            if plan.bandwidth:
+                capacities = {
+                    name: capacity * plan.bandwidth_factor(name, now)
+                    for name, capacity in nominal.items()
+                }
             rates = self._allocate_rates(running, capacities)
 
+            # Instantly complete zero-work tasks (pure barriers).
             instant = [t for t in running if math.isinf(rates[t.task_id])]
             if instant:
                 for task in instant:
                     task.end_time = now
                     task.remaining_fraction = 0.0
-                    running.remove(task)
-                    if resolve_completion(task):
-                        done_ids.add(task.task_id)
-                        records.append(finish_record(task))
-                        trace.append(TraceEntry.from_task(task))
+                    complete(task)
                 continue
 
+            # Time until the earliest completion at current rates.
             dt = math.inf
             for task in running:
                 rate = rates[task.task_id]
@@ -541,14 +426,16 @@ class SimEngine:
             # Clip the step to the next capacity-change boundary and to
             # the next retry resume, so neither is skipped over.
             clipped = False
-            boundary = plan.next_boundary(now)
-            if boundary is not None and now + dt > boundary:
-                dt = boundary - now
+            while boundaries and boundaries[0] <= now + _EPSILON:
+                del boundaries[0]
+            if boundaries and now + dt > boundaries[0]:
+                dt = boundaries[0] - now
                 clipped = True
             if blocked and now + dt > blocked[0][0]:
                 dt = max(blocked[0][0] - now, 0.0)
                 clipped = True
 
+            # Advance and account resource usage.
             if dt > 0:
                 occupancy.append(
                     OccupancyInterval(now, now + dt, _step_usage(running, rates))
@@ -568,11 +455,7 @@ class SimEngine:
             if not finished and not clipped:
                 raise SimulationError("time advanced without completions")
             for task in finished:
-                running.remove(task)
-                if resolve_completion(task):
-                    done_ids.add(task.task_id)
-                    records.append(finish_record(task))
-                    trace.append(TraceEntry.from_task(task))
+                complete(task)
 
         # Bandwidth windows that actually overlapped the run, rendered
         # as drop/restore instants on the simulated timeline.

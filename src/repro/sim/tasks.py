@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.counters import PerfCounters
@@ -64,11 +64,6 @@ class Task:
                 )
         if self.min_seconds < 0:
             raise ConfigurationError("min_seconds cannot be negative")
-        if not self.demands and self.min_seconds == 0:
-            # A pure synchronization point (barrier) is allowed but must
-            # be explicit: give it an epsilon duration instead of zero so
-            # the engine's event loop always advances.
-            self.min_seconds = 0.0
 
     def __hash__(self) -> int:
         return self.task_id
@@ -140,8 +135,14 @@ class TaskGraph:
         for task in tasks:
             self.add(task)
 
-    def validate(self) -> None:
-        """Check that the graph is closed and acyclic."""
+    def validate(self) -> Tuple[Dict[int, int], Dict[int, List[Task]]]:
+        """Check that the graph is closed and acyclic.
+
+        Returns the dependency index the engine schedules from, keyed by
+        task id: each task's in-degree and its successors.
+        """
+        indegree = {t.task_id: len(t.after) for t in self.tasks}
+        successors: Dict[int, List[Task]] = {t.task_id: [] for t in self.tasks}
         for task in self.tasks:
             for dep in task.after:
                 if dep.task_id not in self._ids:
@@ -149,23 +150,21 @@ class TaskGraph:
                         f"task {task.name!r} depends on {dep.name!r} "
                         "which is not in the graph"
                     )
-        # Kahn's algorithm for cycle detection.
-        indegree = {t.task_id: len(t.after) for t in self.tasks}
-        successors: Dict[int, List[Task]] = {t.task_id: [] for t in self.tasks}
-        for task in self.tasks:
-            for dep in task.after:
                 successors[dep.task_id].append(task)
-        ready = [t for t in self.tasks if indegree[t.task_id] == 0]
+        # Kahn's algorithm for cycle detection.
+        remaining = dict(indegree)
+        ready = [t for t in self.tasks if remaining[t.task_id] == 0]
         seen = 0
         while ready:
             current = ready.pop()
             seen += 1
             for succ in successors[current.task_id]:
-                indegree[succ.task_id] -= 1
-                if indegree[succ.task_id] == 0:
+                remaining[succ.task_id] -= 1
+                if remaining[succ.task_id] == 0:
                     ready.append(succ)
         if seen != len(self.tasks):
             raise SimulationError("task graph contains a cycle")
+        return indegree, successors
 
     def reset(self) -> None:
         """Clear scheduling state so the graph can be re-simulated."""

@@ -4,9 +4,11 @@ failure paths that the mainline tests do not reach."""
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults import BandwidthFault, FaultPlan
 from repro.hashing import BucketChainingTable, LinearProbingTable
 from repro.hw.gpu import MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
@@ -149,9 +151,13 @@ class TestSimulatorEdges:
 
     def test_unknown_resource_fails_at_run(self):
         pool = ResourcePool({"r": Resource("r", 1.0)})
-        task = Task(name="t", demands={"ghost": 1.0})
-        with pytest.raises(ConfigurationError):
-            SimEngine(pool).run(TaskGraph([task]))
+        brownout = FaultPlan(bandwidth=(BandwidthFault("r", 0.5),))
+        for plan in (None, brownout):
+            for demands in ({"ghost": 1.0}, {"r": 1.0, "ghost": 0.0}):
+                task = Task(name="t", demands=demands)
+                with faults.injected(plan):
+                    with pytest.raises(ConfigurationError, match="ghost"):
+                        SimEngine(pool).run(TaskGraph([task]))
 
     def test_trace_entry_requires_completion(self):
         task = Task(name="t", demands={})

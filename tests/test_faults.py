@@ -147,17 +147,21 @@ class TestFaultPlan:
     def test_empty_plan_queries(self):
         plan = FaultPlan()
         assert plan.is_empty()
-        assert not plan.affects_engine()
         assert plan.bandwidth_factor("link", 0.0) == 1.0
         assert plan.boundaries() == ()
-        assert plan.next_boundary(0.0) is None
         assert plan.task_fault("join[0]", "Join", 0) is None
         assert plan.summary() == "empty fault plan"
 
     def test_capacity_only_plan_skips_the_engine(self):
         plan = FaultPlan(gpu_memory_factor=0.5)
         assert not plan.is_empty()
-        assert not plan.affects_engine()
+        graph = TaskGraph(chain([
+            Task(name="a", demands={"link": 50.0}),
+            Task(name="b", demands={"link": 30.0, "mem": 60.0}),
+        ]))
+        clean = repr(SimEngine(pool_()).run(graph))
+        with faults.injected(plan):
+            assert repr(SimEngine(pool_()).run(graph)) == clean
 
     def test_bandwidth_factors_compound(self):
         plan = FaultPlan(
@@ -178,9 +182,6 @@ class TestFaultPlan:
             )
         )
         assert plan.boundaries() == (2.0, 3.0)
-        assert plan.next_boundary(0.0) == 2.0
-        assert plan.next_boundary(2.0) == 3.0
-        assert plan.next_boundary(3.0) is None
 
     def test_json_round_trip_preserves_infinite_window(self):
         plan = FaultPlan(

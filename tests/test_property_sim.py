@@ -121,3 +121,15 @@ def test_parallel_tasks_bounded_by_capacity(demands):
     result = SimEngine(pool_()).run(TaskGraph(tasks))
     # Sharing one resource: the makespan is exactly total/capacity.
     assert result.makespan_seconds == pytest.approx(sum(demands) / 100.0)
+
+
+@given(task_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_result_independent_of_task_insertion_order(graph, data):
+    """Ready tasks start in creation (task_id) order, not in the order
+    they were added to the graph: a shuffled graph of the same tasks
+    gives the same result, down to every float and dict order."""
+    shuffled = TaskGraph(data.draw(st.permutations(graph.tasks)))
+    engine = SimEngine(pool_())
+    first = repr(engine.run(graph))
+    assert repr(engine.run(shuffled)) == first
